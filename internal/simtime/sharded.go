@@ -255,7 +255,7 @@ func (c *VirtualClock) ScheduleDomain(origin, exec Domain, d time.Duration, fn f
 		i := int(origin) + 1
 		key := uint64(i)<<domainSeqBits | c.domSeq[i]
 		c.domSeq[i]++
-		ev := &event{at: ln.now + d, seq: key, fn: fn, lane: -1}
+		ev := &event{at: ln.now + d, seq: key, fn: fn, c: c, lane: -1}
 		if exec >= 0 {
 			ev.lane = c.laneOf[exec]
 		}
@@ -267,11 +267,11 @@ func (c *VirtualClock) ScheduleDomain(origin, exec Domain, d time.Duration, fn f
 			}
 			ln.outbox = append(ln.outbox, ev)
 		}
-		return &virtualTimer{c: c, ev: ev}
+		return ev
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return &virtualTimer{c: c, ev: c.scheduleDomainLocked(origin, exec, d, fn)}
+	return c.scheduleDomainLocked(origin, exec, d, fn)
 }
 
 // DomainNow returns the current time as seen from origin's execution

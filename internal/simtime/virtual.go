@@ -228,7 +228,7 @@ func (c *VirtualClock) scheduleDomainLocked(origin, exec Domain, d time.Duration
 	if d < 0 {
 		d = 0
 	}
-	ev := &event{at: c.now + d, seq: c.nextKeyLocked(origin), fn: fn, lane: -1}
+	ev := &event{at: c.now + d, seq: c.nextKeyLocked(origin), fn: fn, c: c, lane: -1}
 	if exec >= 0 && len(c.lanes) > 0 {
 		ev.lane = c.laneOf[exec]
 	}
@@ -439,24 +439,7 @@ func (c *VirtualClock) AfterFunc(d time.Duration, fn func()) Timer {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return &virtualTimer{c: c, ev: c.scheduleLocked(d, fn)}
-}
-
-type virtualTimer struct {
-	c  *VirtualClock
-	ev *event
-}
-
-// Stop cancels the pending event, reporting whether it had not yet
-// fired. Stop is a control-context operation: calling it from inside a
-// parallel window panics (shard workers own their queues then).
-func (t *virtualTimer) Stop() bool {
-	if t.c.inWindow.Load() {
-		panic("simtime: Timer.Stop inside a parallel window")
-	}
-	t.c.mu.Lock()
-	defer t.c.mu.Unlock()
-	return t.c.removeLocked(t.ev)
+	return c.scheduleLocked(d, fn)
 }
 
 // PendingEvents returns the number of scheduled, unfired events —

@@ -128,7 +128,7 @@ func (q *wheelQueue) place(ev *event, t int64) {
 	s := int((t >> (wheelSlotBits * l)) & wheelSlotMask)
 	ev.level = int8(l)
 	ev.slot = uint8(s)
-	ev.idx = len(q.buckets[l][s])
+	ev.idx = int32(len(q.buckets[l][s]))
 	q.buckets[l][s] = append(q.buckets[l][s], ev)
 	q.occ[l] |= 1 << s
 }
@@ -276,13 +276,12 @@ func (q *wheelQueue) remove(ev *event) bool {
 		return false
 	}
 	if ev.level == readyLevel {
-		readyRemove(&q.ready, ev.idx)
-		ev.idx = -1
+		readyRemove(&q.ready, int(ev.idx))
 		q.n--
 		return true
 	}
 	b := q.buckets[ev.level][ev.slot]
-	last := len(b) - 1
+	last := int32(len(b) - 1)
 	if ev.idx != last {
 		b[ev.idx] = b[last]
 		b[ev.idx].idx = ev.idx

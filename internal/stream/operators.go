@@ -112,7 +112,8 @@ func (j *Join) Process(side int, t Tuple, emit Emit) {
 		mine, other = j.right, j.left
 	}
 	mine.add(t)
-	for _, m := range other.match(t.Key) {
+	for _, slot := range other.byKey[t.Key] {
+		m := &other.fifo[slot]
 		out := Tuple{
 			Stream: t.Stream,
 			Key:    t.Key,
@@ -181,18 +182,6 @@ func (w *joinWindow) sizeKB() float64 {
 		sum += w.fifo[i].SizeKB
 	}
 	return sum
-}
-
-func (w *joinWindow) match(key int64) []Tuple {
-	idx := w.byKey[key]
-	if len(idx) == 0 {
-		return nil
-	}
-	out := make([]Tuple, len(idx))
-	for i, s := range idx {
-		out[i] = w.fifo[s]
-	}
-	return out
 }
 
 // Aggregate reduces count-N tumbling windows: after every N inputs it

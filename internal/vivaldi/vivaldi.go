@@ -168,18 +168,23 @@ func (n *Node) Update(peer Coord, peerErr, rtt float64) {
 		n.err = n.cfg.MinError
 	}
 
-	// Move along the unit vector away from (or toward) the peer.
-	delta := n.cfg.CC * w
-	dir := n.unitVectorFrom(peer, dist)
-	n.coord = n.coord.Add(dir.Scale(delta * (rtt - dist)))
-}
-
-// unitVectorFrom returns the unit vector pointing from peer toward this
-// node, choosing a random direction when the two coincide.
-func (n *Node) unitVectorFrom(peer Coord, dist float64) Coord {
+	// Move along the unit vector away from (or toward) the peer, in
+	// place. The expression keeps the rounding of the allocating form
+	// coord + ((coord-peer)·(1/dist))·step: each float64() conversion
+	// forces a rounded intermediate where that form stored one, which
+	// also stops the compiler from fusing the final multiply-add (the
+	// Go spec permits fusion only where no such conversion intervenes),
+	// so coordinates stay bit-identical on every platform.
+	step := n.cfg.CC * w * (rtt - dist)
+	c := n.coord
 	if dist > 1e-9 {
-		return n.coord.Sub(peer).Scale(1 / dist)
+		inv := 1 / dist
+		for i := range c {
+			c[i] = c[i] + float64(float64((c[i]-peer[i])*inv)*step)
+		}
+		return
 	}
+	// Coincident coordinates: step in a random direction.
 	dir := make(Coord, n.cfg.Dims)
 	var norm float64
 	for norm < 1e-9 {
@@ -188,7 +193,10 @@ func (n *Node) unitVectorFrom(peer Coord, dist float64) Coord {
 		}
 		norm = dir.Norm()
 	}
-	return dir.Scale(1 / norm)
+	inv := 1 / norm
+	for i := range c {
+		c[i] = c[i] + float64(float64(dir[i]*inv)*step)
+	}
 }
 
 // LatencyFunc supplies the true RTT in milliseconds between two node

@@ -283,12 +283,38 @@ func BenchmarkEmbed200Nodes(b *testing.B) {
 	cfg.StubNodes = 4
 	top := topology.MustGenerate(cfg, rng)
 	m := top.LatencyMatrix()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := EmbedMatrix(m, DefaultConfig(), 20, 4, rand.New(rand.NewSource(int64(i))))
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTickerRound16k times one Ticker gossip round at the 16k
+// scenarios' scale: 16,400 nodes, 4 RTT samples each, latencies from a
+// synthetic plane so the benchmark measures Vivaldi, not a topology.
+func BenchmarkTickerRound16k(b *testing.B) {
+	const n, samples = 16400, 4
+	rng := rand.New(rand.NewSource(1))
+	pts := make([]Coord, n)
+	for i := range pts {
+		pts[i] = Coord{rng.Float64() * 300, rng.Float64() * 300}
+	}
+	lat := func(i, j int) float64 { return 1 + pts[i].Distance(pts[j]) }
+	nodes, err := newNodes(n, DefaultConfig(), rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for r := 0; r < 3; r++ { // leave the all-at-origin start behind
+		runRound(nodes, lat, samples, rng)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runRound(nodes, lat, samples, rng)
 	}
 }
 

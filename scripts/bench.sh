@@ -41,6 +41,12 @@ go test -run '^$' -bench 'BenchmarkTraceEmit' -benchtime 1000000x -timeout 10m .
 # internal/simtime (BenchmarkWheelQueue100kPending vs Heap...).
 go test -run '^$' -bench 'BenchmarkSchedule100k' -benchtime 20x -timeout 10m . | tee -a "$tmp"
 
+# Layer micro-benchmarks with allocation counts: Vivaldi embedding and
+# one 16k-node gossip round (cost-space embedding), and the raw wheel
+# vs reference-heap queue operations (event kernel).
+go test -run '^$' -bench 'BenchmarkEmbed200Nodes|BenchmarkTickerRound16k|BenchmarkWheelQueue|BenchmarkHeapQueue' \
+  -benchmem -timeout 10m ./internal/vivaldi ./internal/simtime | tee -a "$tmp"
+
 awk '
 BEGIN { print "[" ; first = 1 }
 /^Benchmark/ {
